@@ -1,12 +1,13 @@
 // Command benchjson runs the repo's performance-critical benchmarks
 // in-process and emits a machine-readable JSON report (BENCH_PR<n>.json), so
 // the perf trajectory of the codec, cache, resolver, farm and experiment
-// sweeps is tracked in-tree instead of in scrollback.
+// sweeps is tracked in-tree instead of in scrollback. The -o default below
+// is the one place the report's name is set; scripts/bench.sh uses it.
 //
 // Usage:
 //
-//	go run ./cmd/benchjson -o BENCH_PR6.json
-//	go run ./cmd/benchjson -smoke   # CI smoke: skips the multi-second sweeps
+//	go run ./cmd/benchjson          # writes BENCH_PR7.json
+//	go run ./cmd/benchjson -smoke -o BENCH_SMOKE.json   # CI smoke: skips the multi-second sweeps
 package main
 
 import (

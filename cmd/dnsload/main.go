@@ -32,7 +32,7 @@ func main() {
 		server      = flag.String("server", "127.0.0.1", "target server address")
 		port        = flag.Uint("port", 0, "target port (0 = transport default: 53/53/853/443)")
 		trans       = flag.String("transport", "udp", "transport: udp, tcp, dot, or doh")
-		poolSize    = flag.Int("pool-size", transport.DefaultPoolSize, "pooled connections per upstream")
+		poolSize    = flag.Int("pool-size", transport.DefaultPoolSize, "stream (tcp/dot/doh) connections per upstream; UDP sockets are kept as concurrency needs them and reaped after the idle timeout")
 		workers     = flag.Int("workers", 16, "concurrent query workers")
 		count       = flag.Int("count", 0, "stop after this many queries (0 = use -duration)")
 		duration    = flag.Duration("duration", 0, "stop after this wall time (0 = use -count)")

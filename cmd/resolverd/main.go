@@ -70,7 +70,7 @@ func main() {
 		prefetch      = flag.Float64("prefetch", 0, "refresh-ahead: re-resolve popular entries in the last FRACTION of their TTL (0 = off)")
 		prefetchBudg  = flag.Int("prefetch-budget", 0, "max refresh-ahead resolutions per minute (0 = unlimited)")
 		trans         = flag.String("transport", "udp", "upstream transport: udp, tcp, dot, or doh")
-		poolSize      = flag.Int("pool-size", 0, "pooled upstream connections per server (0 = default)")
+		poolSize      = flag.Int("pool-size", 0, "stream (tcp/dot/doh) connections per upstream server (0 = default 4); UDP sockets are kept as concurrency needs them and reaped after the idle timeout")
 		insecure      = flag.Bool("insecure", false, "skip TLS verification for dot/doh upstreams (self-signed certs)")
 		listenTCP     = flag.String("listen-tcp", "", "TCP listen address for clients (empty = off)")
 		listenDoT     = flag.String("listen-dot", "", "DNS-over-TLS listen address for clients (empty = off)")

@@ -131,6 +131,37 @@ func TestDecodeRejectsShortMessages(t *testing.T) {
 	}
 }
 
+// shortRDATA is a 27-byte response with one answer of type t whose
+// RDLENGTH is 0, followed by four bytes that belong to no record. A decoder
+// that reads fixed RDATA fields without bounding them to RDLENGTH runs
+// past the record's end.
+func shortRDATA(t Type) []byte {
+	return []byte{
+		0, 7, 0x80, 0, 0, 0, 0, 1, 0, 0, 0, 0, // header, QR, AN=1
+		0,                           // owner: root
+		byte(t >> 8), byte(t), 0, 1, // type, class IN
+		0, 0, 0, 60, // TTL
+		0, 0, // RDLENGTH 0
+		1, 2, 3, 4,
+	}
+}
+
+// TestDecodeBoundsRDATA pins the DNSKEY and DS crashers (a slice-bounds
+// panic before RDATA decoding was bounded to RDLENGTH) and checks every
+// other RDATA reader against the same message.
+func TestDecodeBoundsRDATA(t *testing.T) {
+	for _, typ := range []Type{TypeDNSKEY, TypeDS, TypeRRSIG, TypeA, TypeAAAA, TypeNS,
+		TypeCNAME, TypePTR, TypeMX, TypeTXT, TypeSOA, Type(999)} {
+		wire := shortRDATA(typ)
+		if len(wire) != 27 {
+			t.Fatalf("crasher is %d bytes, want 27", len(wire))
+		}
+		if _, err := Decode(wire); err == nil {
+			t.Errorf("%v with RDLENGTH 0 and 4 stray bytes decoded without error", typ)
+		}
+	}
+}
+
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	m := NewQuery(3, NewName("example.org"), TypeA)
 	wire, err := Encode(m)

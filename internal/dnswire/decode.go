@@ -354,7 +354,15 @@ func (d *Decoder) readRR() (RR, error) {
 		d.off = end // option TLVs are skipped
 		return rr, nil
 	}
-	if err := d.readRData(&rr, end); err != nil {
+	// Bound RDATA decoding to RDLENGTH: every reader checks against
+	// len(d.wire), so a field that runs past RDLENGTH fails instead of
+	// reading into the next record. Compression pointers point strictly
+	// backwards, so names in RDATA still resolve.
+	full := d.wire
+	d.wire = full[:end]
+	err = d.readRData(&rr)
+	d.wire = full
+	if err != nil {
 		return RR{}, err
 	}
 	if d.off != end {
@@ -363,7 +371,9 @@ func (d *Decoder) readRR() (RR, error) {
 	return rr, nil
 }
 
-func (d *Decoder) readRData(rr *RR, end int) error {
+// readRData decodes rr's RDATA, which runs to the end of d.wire.
+func (d *Decoder) readRData(rr *RR) error {
+	end := len(d.wire)
 	switch rr.Type {
 	case TypeA:
 		if end-d.off != 4 {
@@ -416,8 +426,8 @@ func (d *Decoder) readRData(rr *RR, end int) error {
 			if err != nil {
 				return err
 			}
-			if d.off+int(n) > end {
-				return ErrShortMessage
+			if err := d.need(int(n)); err != nil {
+				return err
 			}
 			txt.Strings = append(txt.Strings, string(d.wire[d.off:d.off+int(n)]))
 			d.off += int(n)
@@ -491,9 +501,6 @@ func (d *Decoder) readRData(rr *RR, end int) error {
 		}
 		if s.SignerName, err = d.readName(); err != nil {
 			return err
-		}
-		if d.off > end {
-			return ErrShortMessage
 		}
 		s.Signature = append([]byte(nil), d.wire[d.off:end]...)
 		d.off = end

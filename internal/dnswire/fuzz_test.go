@@ -73,6 +73,10 @@ func FuzzDecode(f *testing.F) {
 		0, 4, 192, 0, 2, 1,
 	)
 	f.Add(big)
+	// RDLENGTH 0 under fixed-size RDATA fields: these panicked the decoder
+	// before RDATA reads were bounded to RDLENGTH.
+	f.Add(shortRDATA(TypeDNSKEY))
+	f.Add(shortRDATA(TypeDS))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)

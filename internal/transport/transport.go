@@ -1,10 +1,11 @@
 // Package transport is the resolver-side real-socket plane: pluggable
 // client transports that carry one wire-format DNS query to an upstream
 // server and return the wire-format response. Four implementations share
-// one interface and one per-upstream connection-pool design:
+// one interface and keep their connections per upstream:
 //
-//   - UDP: pooled connected sockets with truncation-driven TCP fallback
-//     (RFC 1035 §4.2.1) — the classic resolver transport.
+//   - UDP: connected sockets kept per upstream as concurrency needs them,
+//     with truncation-driven TCP fallback (RFC 1035 §4.2.1) — the classic
+//     resolver transport.
 //   - TCP: persistent pipelined connections (RFC 7766 §6.2.1.1) with
 //     out-of-order response matching by message ID, so many queries share
 //     one connection without head-of-line blocking at the client.
@@ -106,14 +107,15 @@ const (
 type Config struct {
 	// Kind selects the implementation.
 	Kind Kind
-	// PoolSize bounds live connections per upstream (and, for UDP, pooled
-	// sockets per upstream). 0 means DefaultPoolSize.
+	// PoolSize bounds live stream connections (TCP, DoT, DoH) per
+	// upstream. UDP keeps as many sockets as concurrent exchanges need and
+	// reaps them after IdleTimeout. 0 means DefaultPoolSize.
 	PoolSize int
 	// Timeout bounds one exchange end to end, including any dial or TLS
 	// handshake it triggers. 0 means DefaultTimeout.
 	Timeout time.Duration
-	// IdleTimeout closes pooled connections unused this long. 0 means
-	// DefaultIdleTimeout.
+	// IdleTimeout closes pooled connections and UDP sockets unused this
+	// long. 0 means DefaultIdleTimeout.
 	IdleTimeout time.Duration
 	// TLS configures DoT/DoH. nil uses a default config; ServerName and
 	// Insecure below still apply on top of a caller-provided config when

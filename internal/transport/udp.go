@@ -7,7 +7,19 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"dnsttl/internal/dnswire"
 )
+
+// udpReadSize is one byte more than the EDNS payload size the resolver
+// advertises: a datagram that fills the buffer is larger than anything a
+// conforming server may send, and is never passed up cut off.
+const udpReadSize = dnswire.MaxEDNSSize + 1
+
+// errOversize reports a UDP answer larger than the advertised EDNS size.
+// Like a TC answer it is retried over TCP; without the fallback the
+// exchange fails.
+var errOversize = errors.New("transport: UDP answer exceeds the advertised EDNS size")
 
 // udpConn is one pooled connected UDP socket with its owned read buffer —
 // the socket is held exclusively for the duration of an exchange, so the
@@ -22,6 +34,12 @@ type udpConn struct {
 // to the pipelined TCP transport when a response arrives truncated
 // (RFC 1035 §4.2.1). Pooling the sockets matters at load-generator rates:
 // a fresh socket per query costs two extra syscalls and a port allocation.
+//
+// Every healthy socket goes back on its upstream's LIFO stack, so the
+// stack grows to the peak number of concurrent exchanges and a burst
+// finds the sockets the previous one opened. Sockets idle longer than
+// IdleTimeout sit at the bottom of the stack and are closed from there;
+// PoolSize does not apply to UDP.
 type udpTransport struct {
 	cfg Config
 	m   *Metrics
@@ -44,22 +62,35 @@ func newUDPTransport(cfg Config) *udpTransport {
 	return u
 }
 
-// get pops a pooled socket for server or dials a new one.
+// reapLocked closes the sockets at the bottom of server's stack that have
+// been idle longer than IdleTimeout and returns what is left.
+func (u *udpTransport) reapLocked(server netip.AddrPort, now time.Time) []*udpConn {
+	list := u.idle[server]
+	n := 0
+	for n < len(list) && now.Sub(list[n].last) > u.cfg.IdleTimeout {
+		_ = list[n].c.Close()
+		n++
+	}
+	if n > 0 {
+		kept := copy(list, list[n:])
+		clear(list[kept:])
+		list = list[:kept]
+		u.idle[server] = list
+	}
+	return list
+}
+
+// get pops the most recently used socket for server or dials a new one.
 func (u *udpTransport) get(server netip.AddrPort) (*udpConn, error) {
 	u.mu.Lock()
 	if u.closed {
 		u.mu.Unlock()
 		return nil, errConnClosed
 	}
-	list := u.idle[server]
-	for len(list) > 0 {
+	if list := u.reapLocked(server, time.Now()); len(list) > 0 {
 		uc := list[len(list)-1]
-		list = list[:len(list)-1]
-		u.idle[server] = list
-		if time.Since(uc.last) > u.cfg.IdleTimeout {
-			_ = uc.c.Close()
-			continue
-		}
+		list[len(list)-1] = nil
+		u.idle[server] = list[:len(list)-1]
 		u.mu.Unlock()
 		u.m.Reuses.Inc()
 		return uc, nil
@@ -71,15 +102,15 @@ func (u *udpTransport) get(server netip.AddrPort) (*udpConn, error) {
 		return nil, err
 	}
 	u.m.Dials.Inc()
-	return &udpConn{c: c, buf: make([]byte, 65535)}, nil
+	return &udpConn{c: c, buf: make([]byte, udpReadSize)}, nil
 }
 
-// put returns a socket to the pool, closing it if the pool is full.
+// put pushes a healthy socket back on server's stack.
 func (u *udpTransport) put(server netip.AddrPort, uc *udpConn) {
 	uc.last = time.Now()
 	u.mu.Lock()
-	if !u.closed && len(u.idle[server]) < u.cfg.PoolSize {
-		u.idle[server] = append(u.idle[server], uc)
+	if !u.closed {
+		u.idle[server] = append(u.reapLocked(server, uc.last), uc)
 		u.mu.Unlock()
 		return
 	}
@@ -90,22 +121,27 @@ func (u *udpTransport) put(server netip.AddrPort, uc *udpConn) {
 // Exchange implements Transport: write the query on a pooled connected
 // socket, read until a response with the query's message ID arrives (late
 // answers to earlier timed-out queries are dropped), and retry truncated
-// answers over TCP.
+// or oversize answers over TCP.
 func (u *udpTransport) Exchange(server netip.AddrPort, query []byte) ([]byte, time.Duration, error) {
 	u.m.Exchanges.Inc()
 	resp, rtt, err := u.exchangeUDP(server, query)
-	if err != nil {
-		u.m.Errors.Inc()
-		return nil, rtt, err
-	}
-	if resp[2]&0x02 != 0 && u.tcp != nil { // TC bit: retry over TCP
+	truncated := err == nil && resp[2]&0x02 != 0
+	if (truncated || errors.Is(err, errOversize)) && u.tcp != nil {
 		u.m.TCPFallbacks.Inc()
 		tcpResp, tcpRTT, tcpErr := u.tcp.Exchange(server, query)
 		if tcpErr == nil {
 			return tcpResp, rtt + tcpRTT, nil
 		}
-		// The truncated UDP answer is still an answer; serve it rather
-		// than failing the exchange, as the classic resolver path does.
+		// A truncated UDP answer is still an answer; serve it rather than
+		// failing the exchange, as the classic resolver path does. An
+		// oversize one was cut off in the read, so nothing is left to serve.
+		if err != nil {
+			err = tcpErr
+		}
+	}
+	if err != nil {
+		u.m.Errors.Inc()
+		return nil, rtt, err
 	}
 	u.m.RTT.ObserveDuration(rtt)
 	return resp, rtt, nil
@@ -143,6 +179,10 @@ func (u *udpTransport) exchangeUDP(server netip.AddrPort, query []byte) ([]byte,
 			continue
 		}
 		rtt := time.Since(start)
+		if n == len(uc.buf) {
+			u.put(server, uc)
+			return nil, rtt, errOversize
+		}
 		resp := make([]byte, n)
 		copy(resp, uc.buf[:n])
 		u.put(server, uc)

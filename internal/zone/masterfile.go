@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"net/netip"
 	"strconv"
 	"strings"
 
@@ -102,6 +103,9 @@ func parseRecord(fields []string, origin dnswire.Name, defaultTTL uint32) (dnswi
 		return dnswire.RR{}, fmt.Errorf("record needs at least name, type and rdata: %v", fields)
 	}
 	name := absName(fields[0], origin)
+	if err := name.Valid(); err != nil {
+		return dnswire.RR{}, err
+	}
 	rest := fields[1:]
 
 	ttl := defaultTTL
@@ -133,12 +137,20 @@ func parseRecord(fields []string, origin dnswire.Name, defaultTTL uint32) (dnswi
 		if len(rdata) != 1 {
 			return rr, fmt.Errorf("A needs 1 field")
 		}
-		return dnswire.NewA(string(name), ttl, rdata[0]), nil
+		a, err := netip.ParseAddr(rdata[0])
+		if err != nil || !a.Is4() {
+			return rr, fmt.Errorf("A needs an IPv4 address, got %q", rdata[0])
+		}
+		rr.Data = dnswire.A{Addr: a}
 	case dnswire.TypeAAAA:
 		if len(rdata) != 1 {
 			return rr, fmt.Errorf("AAAA needs 1 field")
 		}
-		return dnswire.NewAAAA(string(name), ttl, rdata[0]), nil
+		a, err := netip.ParseAddr(rdata[0])
+		if err != nil || !a.Is6() || a.Is4In6() {
+			return rr, fmt.Errorf("AAAA needs an IPv6 address, got %q", rdata[0])
+		}
+		rr.Data = dnswire.AAAA{Addr: a}
 	case dnswire.TypeNS:
 		if len(rdata) != 1 {
 			return rr, fmt.Errorf("NS needs 1 field")

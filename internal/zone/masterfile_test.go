@@ -122,6 +122,17 @@ func TestParseErrors(t *testing.T) {
 		"www IN SOA a b 1 2 3",         // short SOA
 		"www IN A 1.2.3.4 (",           // unbalanced paren
 	}
+	// Bad address literals used to panic in the RR constructors, which
+	// took authserver down on a SIGHUP reload instead of rolling back.
+	bad = append(bad,
+		"0 A 0",
+		"www IN A 2001:db8::1",
+		"www IN A 1.2.3",
+		"www IN AAAA 192.0.2.1",
+		"www IN AAAA ::ffff:192.0.2.1",
+		"www IN AAAA nope",
+		strings.Repeat("x", 64)+" IN A 192.0.2.1", // label over 63 octets
+	)
 	for _, b := range bad {
 		if _, err := Parse(strings.NewReader(b), dnswire.NewName("example.org")); err == nil {
 			t.Errorf("Parse(%q) should fail", b)
@@ -170,5 +181,15 @@ func TestAbsName(t *testing.T) {
 	}
 	if absName("tld", dnswire.Root) != dnswire.NewName("tld") {
 		t.Errorf("root-origin relative name broken")
+	}
+}
+
+// TestParseBadAddressNamesLine checks that a bad address literal is an
+// error carrying its line, so a reload can report it and roll back.
+func TestParseBadAddressNamesLine(t *testing.T) {
+	text := "$ORIGIN example.org.\nwww IN A 192.0.2.1\nbad IN AAAA 2001:db8::zz\n"
+	_, err := Parse(strings.NewReader(text), dnswire.NewName("example.org"))
+	if err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Fatalf("Parse error = %v, want one naming line 3", err)
 	}
 }

@@ -31,13 +31,14 @@ type TransportOptions struct {
 	// Port is the upstream destination port; 0 uses the kind's IANA
 	// default (53, 53, 853, 443).
 	Port uint16
-	// PoolSize bounds live connections (or pooled UDP sockets) per
-	// upstream; 0 means the package default.
+	// PoolSize bounds live stream connections (TCP, DoT, DoH) per
+	// upstream; UDP keeps as many sockets as concurrent exchanges need.
+	// 0 means the package default.
 	PoolSize int
 	// Timeout bounds one exchange end to end; 0 means the default (5 s).
 	Timeout time.Duration
-	// IdleTimeout closes pooled connections unused this long; 0 means the
-	// default (30 s).
+	// IdleTimeout closes pooled connections and UDP sockets unused this
+	// long; 0 means the default (30 s).
 	IdleTimeout time.Duration
 	// TLS configures DoT/DoH upstream verification; nil uses defaults.
 	TLS *tls.Config
