@@ -5,10 +5,9 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/ratelimit"
 	"dnsttl/internal/simnet"
 )
 
@@ -59,6 +58,9 @@ func ParseRRLConfig(s string) (RRLConfig, error) {
 	if s == "" || s == "default" {
 		return cfg, nil
 	}
+	// Integer keys are parsed as floats so the validator can reject a
+	// fractional value instead of truncating it.
+	slip, prefix4, prefix6 := float64(cfg.Slip), float64(cfg.Prefix4), float64(cfg.Prefix6)
 	for _, part := range strings.Split(s, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
@@ -74,21 +76,19 @@ func ParseRRLConfig(s string) (RRLConfig, error) {
 		case "burst":
 			cfg.Burst = f
 		case "slip":
-			cfg.Slip = int(f)
+			slip = f
 		case "prefix4":
-			cfg.Prefix4 = int(f)
+			prefix4 = f
 		case "prefix6":
-			cfg.Prefix6 = int(f)
+			prefix6 = f
 		default:
 			return cfg, fmt.Errorf("rrl: unknown key %q (want rps, burst, slip, prefix4, prefix6)", key)
 		}
 	}
-	if cfg.RPS <= 0 || cfg.Burst < 1 {
-		return cfg, fmt.Errorf("rrl: need rps > 0 and burst >= 1")
+	if err := ratelimit.Validate(cfg.RPS, cfg.Burst, slip, prefix4, prefix6); err != nil {
+		return cfg, fmt.Errorf("rrl: %w", err)
 	}
-	if cfg.Prefix4 < 0 || cfg.Prefix4 > 32 || cfg.Prefix6 < 0 || cfg.Prefix6 > 128 {
-		return cfg, fmt.Errorf("rrl: prefix4/prefix6 out of range")
-	}
+	cfg.Slip, cfg.Prefix4, cfg.Prefix6 = int(slip), int(prefix4), int(prefix6)
 	return cfg, nil
 }
 
@@ -101,40 +101,30 @@ const (
 	rrlSlip
 )
 
+// rrlKey is one RRL bucket: a response band from one masked client
+// prefix.
 type rrlKey struct {
 	band   dnswire.Name
 	client netip.Addr
 }
 
-type rrlBucket struct {
-	tokens  float64
-	last    time.Time
-	limited int // responses limited since the bucket last passed one, drives slip cadence
-}
-
-// maxRRLBuckets bounds limiter state the same way the middleware
-// per-client limiter does: reset wholesale at the cap rather than LRU
-// bookkeeping per response.
-const maxRRLBuckets = 1 << 16
-
 // rrlState is the limiter attached to a Server by EnableRRL.
 type rrlState struct {
-	cfg   RRLConfig
-	clock simnet.Clock
-
-	mu      sync.Mutex
-	buckets map[rrlKey]*rrlBucket
+	cfg     RRLConfig
+	clock   simnet.Clock
+	buckets *ratelimit.Table[rrlKey]
 }
 
-// EnableRRL turns on response rate limiting for UDP responses. Passing a
-// zero-value config panics; use DefaultRRLConfig as the baseline.
+// EnableRRL turns on response rate limiting for UDP responses. A config
+// that ParseRRLConfig would reject, such as the zero value, panics; use
+// DefaultRRLConfig as the baseline.
 func (s *Server) EnableRRL(cfg RRLConfig) {
-	if cfg.RPS <= 0 || cfg.Burst < 1 {
-		panic("authoritative: EnableRRL with rps <= 0 or burst < 1")
+	if err := ratelimit.Validate(cfg.RPS, cfg.Burst, float64(cfg.Slip), float64(cfg.Prefix4), float64(cfg.Prefix6)); err != nil {
+		panic("authoritative: EnableRRL: " + err.Error())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rrl = &rrlState{cfg: cfg, clock: s.Clock, buckets: map[rrlKey]*rrlBucket{}}
+	s.rrl = &rrlState{cfg: cfg, clock: s.Clock, buckets: ratelimit.NewTable[rrlKey](cfg.RPS, cfg.Burst)}
 }
 
 // DisableRRL removes the limiter.
@@ -162,50 +152,18 @@ func (s *Server) band(q dnswire.Question, resp *dnswire.Message) dnswire.Name {
 	return q.Name
 }
 
-// check books one would-be UDP response against its bucket.
-func (r *rrlState) check(key rrlKey) rrlVerdict {
-	now := r.clock.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	bk := r.buckets[key]
-	if bk == nil {
-		if len(r.buckets) >= maxRRLBuckets {
-			r.buckets = map[rrlKey]*rrlBucket{}
-		}
-		bk = &rrlBucket{tokens: r.cfg.Burst, last: now}
-		r.buckets[key] = bk
-	} else {
-		if dt := now.Sub(bk.last); dt > 0 {
-			bk.tokens += dt.Seconds() * r.cfg.RPS
-			if bk.tokens > r.cfg.Burst {
-				bk.tokens = r.cfg.Burst
-			}
-		}
-		bk.last = now
-	}
-	if bk.tokens >= 1 {
-		bk.tokens--
-		bk.limited = 0
+// check books one would-be UDP response from client against its band's
+// bucket. Every Slip-th response in a run of limited ones slips.
+func (r *rrlState) check(band dnswire.Name, client netip.Addr) rrlVerdict {
+	key := rrlKey{band: band, client: ratelimit.Mask(client, r.cfg.Prefix4, r.cfg.Prefix6)}
+	ok, limited := r.buckets.Take(key, r.clock.Now())
+	switch {
+	case ok:
 		return rrlSend
-	}
-	bk.limited++
-	if r.cfg.Slip > 0 && bk.limited%r.cfg.Slip == 0 {
+	case r.cfg.Slip > 0 && limited%r.cfg.Slip == 0:
 		return rrlSlip
 	}
 	return rrlDrop
-}
-
-// maskClient aggregates a client address into its RRL network prefix.
-func (r *rrlState) maskClient(client netip.Addr) netip.Addr {
-	bits := r.cfg.Prefix6
-	if client.Is4() || client.Is4In6() {
-		bits = r.cfg.Prefix4
-	}
-	p, err := client.Unmap().Prefix(bits)
-	if err != nil {
-		return client
-	}
-	return p.Addr()
 }
 
 // slipReply builds the truncated stand-in for a limited response: header

@@ -35,7 +35,10 @@ func TestParseRRLConfig(t *testing.T) {
 	if cfg.RPS != 2 || cfg.Slip != 3 || cfg.Burst != 15 {
 		t.Fatalf("partial override: %+v", cfg)
 	}
-	for _, bad := range []string{"rps", "rps=zero", "warp=1", "rps=0", "prefix4=99"} {
+	for _, bad := range []string{
+		"rps", "rps=zero", "warp=1", "rps=0", "prefix4=99",
+		"rps=nan", "rps=inf", "burst=NaN", "burst=+Inf", "slip=-3", "slip=1.5", "prefix4=24.9", "prefix6=nan",
+	} {
 		if _, err := ParseRRLConfig(bad); err == nil {
 			t.Fatalf("ParseRRLConfig(%q) should fail", bad)
 		}
@@ -172,5 +175,20 @@ func TestDisableRRL(t *testing.T) {
 		if rawQuery(t, s, fmt.Sprintf("z%d.example.org", i), from) == nil {
 			t.Fatal("disabled limiter still dropping")
 		}
+	}
+}
+
+// TestRRLCheckAllocs pins the limiter's per-response cost on an
+// existing bucket: masking the client and booking the response allocate
+// nothing.
+func TestRRLCheckAllocs(t *testing.T) {
+	s := testServer(t)
+	s.EnableRRL(RRLConfig{RPS: 1e9, Burst: 1e9, Slip: 2, Prefix4: 24, Prefix6: 56})
+	r := s.limiter()
+	band := dnswire.NewName("www.example.org")
+	from := netip.MustParseAddr("198.51.100.9")
+	r.check(band, from)
+	if allocs := testing.AllocsPerRun(200, func() { r.check(band, from) }); allocs != 0 {
+		t.Fatalf("RRL check on an existing bucket: %v allocs, want 0", allocs)
 	}
 }

@@ -190,8 +190,7 @@ func (s *Server) serveWire(wire []byte, from netip.Addr, limit int) []byte {
 		// already proved its source address, so limiting it would add
 		// collateral damage without reducing amplification.
 		if r := s.limiter(); r != nil {
-			key := rrlKey{band: s.band(q.Q(), resp), client: r.maskClient(from)}
-			switch r.check(key) {
+			switch r.check(s.band(q.Q(), resp), from) {
 			case rrlDrop:
 				if m := s.Obs; m != nil {
 					m.RRLDropped.Inc()

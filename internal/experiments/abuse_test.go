@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -13,31 +11,13 @@ const (
 	abuseSeed    = 42
 )
 
-func abuseGoldenPath() string {
-	return filepath.Join("testdata", "abuse_golden.json")
-}
-
 // TestAbuseGolden replays the water-torture grid and compares every cell —
 // attack outcomes, authoritative rx/full/slip/drop, honest hit rates, RRL
 // and edge counters — byte for byte against the golden. Any drift in the
 // middleware pipeline, the farm's per-frontend pipelines, or the RRL
 // limiter's bucket arithmetic fails here first.
 func TestAbuseGolden(t *testing.T) {
-	got := WaterTortureRun(abuseQueries, 0, abuseSeed).JSON()
-	if *update {
-		if err := os.WriteFile(abuseGoldenPath(), got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", abuseGoldenPath(), len(got))
-		return
-	}
-	want, err := os.ReadFile(abuseGoldenPath())
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("water-torture replay drifted from golden %s.\nRegenerate with -update if the change is intentional.\ngot:\n%s", abuseGoldenPath(), got)
-	}
+	checkGolden(t, "abuse_golden.json", WaterTortureRun(abuseQueries, 0, abuseSeed).JSON())
 }
 
 // TestAbuseOutcomes pins the story the golden bytes must tell, so a

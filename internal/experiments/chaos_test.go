@@ -2,46 +2,20 @@ package experiments
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 )
-
-// -update regenerates the chaos goldens instead of comparing against them:
-//
-//	go test ./internal/experiments/ -run TestChaosGolden -update
-var update = flag.Bool("update", false, "rewrite chaos golden files")
 
 const (
 	chaosProbes = 6
 	chaosSeed   = 42
 )
 
-func chaosGoldenPath() string {
-	return filepath.Join("testdata", "chaos_golden.json")
-}
-
 // TestChaosGolden replays the canned fault schedules and compares the full
 // per-round outcome — answered, stale, queries, timeouts, retries, hedges —
 // byte for byte against the golden. Any drift in retry/backoff/hedging or
 // serve-stale semantics fails here first.
 func TestChaosGolden(t *testing.T) {
-	got := ChaosRun(chaosProbes, 0, chaosSeed).JSON()
-	if *update {
-		if err := os.WriteFile(chaosGoldenPath(), got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", chaosGoldenPath(), len(got))
-		return
-	}
-	want, err := os.ReadFile(chaosGoldenPath())
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("chaos replay drifted from golden %s.\nRegenerate with -update if the change is intentional.\ngot:\n%s", chaosGoldenPath(), got)
-	}
+	checkGolden(t, "chaos_golden.json", ChaosRun(chaosProbes, 0, chaosSeed).JSON())
 }
 
 // TestChaosOutcomes asserts the semantic shape of each scenario — the

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -12,31 +10,13 @@ const (
 	pressureTestSeed    = 44
 )
 
-func pressureGoldenPath() string {
-	return filepath.Join("testdata", "pressure_golden.json")
-}
-
 // TestPressureGolden replays the cache-pressure grid and compares the full
 // per-cell outcome — hits, evictions, admission rejects, prefetches,
 // authoritative queries, resident bytes — byte for byte against the golden.
 // Any drift in byte accounting, eviction order, admission, or refresh-ahead
 // semantics fails here first. Regenerate with -update.
 func TestPressureGolden(t *testing.T) {
-	got := PressureRun(pressureTestQueries, 0, pressureTestSeed).JSON()
-	if *update {
-		if err := os.WriteFile(pressureGoldenPath(), got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", pressureGoldenPath(), len(got))
-		return
-	}
-	want, err := os.ReadFile(pressureGoldenPath())
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("pressure sweep drifted from golden %s.\nRegenerate with -update if the change is intentional.\ngot:\n%s", pressureGoldenPath(), got)
-	}
+	checkGolden(t, "pressure_golden.json", PressureRun(pressureTestQueries, 0, pressureTestSeed).JSON())
 }
 
 // TestPressureDeterministic proves the sweep is identical at any worker

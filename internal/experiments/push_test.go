@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -12,31 +10,13 @@ const (
 	pushSeed    = 42
 )
 
-func pushGoldenPath() string {
-	return filepath.Join("testdata", "push_golden.json")
-}
-
 // TestPushGolden replays every propagation cell — polling, push,
 // push+prefetch, farm topologies, dropped-notify chaos — and compares the
 // full per-round outcome byte for byte against the golden. Any drift in the
 // feed, subscriber, purge, serve-stale gating, or fault semantics fails
 // here first. Regenerate with -update.
 func TestPushGolden(t *testing.T) {
-	got := PushRun(pushClients, 0, pushSeed).JSON()
-	if *update {
-		if err := os.WriteFile(pushGoldenPath(), got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", pushGoldenPath(), len(got))
-		return
-	}
-	want, err := os.ReadFile(pushGoldenPath())
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("push replay drifted from golden %s.\nRegenerate with -update if the change is intentional.\ngot:\n%s", pushGoldenPath(), got)
-	}
+	checkGolden(t, "push_golden.json", PushRun(pushClients, 0, pushSeed).JSON())
 }
 
 // TestPushOutcomes pins the story the golden bytes must tell, so a

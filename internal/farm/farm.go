@@ -23,6 +23,7 @@ import (
 
 	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/flight"
 	"dnsttl/internal/middleware"
 	"dnsttl/internal/obs"
 	"dnsttl/internal/qlog"
@@ -133,7 +134,10 @@ type Farm struct {
 	cfg       Config
 	frontends []*resolver.Resolver
 	balancer  balancer
-	flight    *flightGroup
+	// flight is keyed across frontends on purpose: N concurrent clients
+	// asking for the same cold name cost the authoritatives one
+	// iteration, whichever frontends the balancer spread them over.
+	flight    flight.Group[cache.Key, *resolver.Result]
 	store     cache.Store // nil for Private topology
 	telemetry *telemetry
 	clock     simnet.Clock
@@ -159,7 +163,6 @@ func New(cfg Config, addr netip.Addr, net simnet.Exchanger, clock simnet.Clock, 
 		cfg:       cfg,
 		frontends: make([]*resolver.Resolver, n),
 		balancer:  newBalancer(cfg.Placement, n, cfg.Seed),
-		flight:    newFlightGroup(),
 		telemetry: newTelemetry(n, cfg.Registry),
 		clock:     clock,
 	}
@@ -226,24 +229,14 @@ func (f *Farm) resolveLeg(idx int) middleware.LookupFunc {
 			res, err := f.frontends[idx].Resolve(name, qtype)
 			return f.account(idx, res, err)
 		}
-		res, err, joined := f.flight.do(flightKey{name: name, qtype: qtype},
+		res, err, joined := f.flight.Do(cache.Key{Name: name, Type: qtype},
 			func() { f.telemetry.coalesced(idx) },
 			func() (*resolver.Result, error) { return f.frontends[idx].Resolve(name, qtype) })
 		if joined {
 			if res == nil {
 				return nil, err
 			}
-			// Followers get their own Result value (the message itself is
-			// shared, read-only by convention) marked as coalesced: they
-			// cost zero upstream queries.
-			cp := *res
-			cp.CacheHit = false
-			cp.Coalesced = true
-			cp.Queries = 0
-			cp.Timeouts = 0
-			cp.Retries = 0
-			cp.Hedges = 0
-			return &cp, err
+			return res.Follower(), err
 		}
 		return f.account(idx, res, err)
 	}

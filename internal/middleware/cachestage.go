@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"dnsttl/internal/cache"
 	"dnsttl/internal/obs"
 	"dnsttl/internal/simnet"
 )
@@ -30,8 +31,8 @@ type cacheStage struct {
 	misses *obs.Counter
 
 	mu    sync.Mutex
-	memo  map[dedupKey]*memoEntry
-	order []dedupKey // FIFO eviction ring
+	memo  map[cache.Key]*memoEntry
+	order []cache.Key // FIFO eviction ring
 }
 
 type memoEntry struct {
@@ -50,7 +51,7 @@ func init() {
 			clock:   b.env.clock(),
 			hits:    b.env.counter(sp.name, "hits"),
 			misses:  b.env.counter(sp.name, "misses"),
-			memo:    map[dedupKey]*memoEntry{},
+			memo:    map[cache.Key]*memoEntry{},
 		}
 		next, err := b.next(&o)
 		if err != nil {
@@ -70,7 +71,7 @@ func init() {
 func (s *cacheStage) Name() string { return s.name }
 
 func (s *cacheStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
-	k := dedupKey{name: q.Name, qtype: q.Type}
+	k := cache.Key{Name: q.Name, Type: q.Type}
 	now := s.clock.Now()
 
 	s.mu.Lock()

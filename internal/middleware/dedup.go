@@ -2,9 +2,9 @@ package middleware
 
 import (
 	"context"
-	"sync"
 
-	"dnsttl/internal/dnswire"
+	"dnsttl/internal/cache"
+	"dnsttl/internal/flight"
 	"dnsttl/internal/obs"
 )
 
@@ -21,21 +21,7 @@ type dedupStage struct {
 	next      Stage
 	leaders   *obs.Counter
 	coalesced *obs.Counter
-
-	mu    sync.Mutex
-	calls map[dedupKey]*dedupCall
-}
-
-type dedupKey struct {
-	name  dnswire.Name
-	qtype dnswire.Type
-}
-
-type dedupCall struct {
-	wg   sync.WaitGroup
-	resp *Response
-	err  error
-	dups int
+	flight    flight.Group[cache.Key, *Response]
 }
 
 func init() {
@@ -45,7 +31,6 @@ func init() {
 			name:      sp.name,
 			leaders:   b.env.counter(sp.name, "leaders"),
 			coalesced: b.env.counter(sp.name, "coalesced"),
-			calls:     map[dedupKey]*dedupCall{},
 		}
 		next, err := b.next(&o)
 		if err != nil {
@@ -62,51 +47,15 @@ func init() {
 func (s *dedupStage) Name() string { return s.name }
 
 func (s *dedupStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
-	k := dedupKey{name: q.Name, qtype: q.Type}
-	s.mu.Lock()
-	if c, ok := s.calls[k]; ok {
-		c.dups++
-		s.mu.Unlock()
-		s.coalesced.Inc()
-		c.wg.Wait()
-		if c.err != nil || c.resp == nil || c.resp.Result == nil {
-			return c.resp, c.err
-		}
-		// Followers get their own Result marked coalesced (the message is
-		// shared, read-only by convention): they cost zero upstream work.
-		cp := *c.resp.Result
-		cp.CacheHit = false
-		cp.Coalesced = true
-		cp.Queries = 0
-		cp.Timeouts = 0
-		cp.Retries = 0
-		cp.Hedges = 0
-		out := *c.resp
-		out.Result = &cp
-		return &out, nil
+	resp, err, joined := s.flight.Do(cache.Key{Name: q.Name, Type: q.Type}, s.coalesced.Inc,
+		func() (*Response, error) {
+			s.leaders.Inc()
+			return s.next.Resolve(ctx, q)
+		})
+	if !joined || err != nil || resp == nil || resp.Result == nil {
+		return resp, err
 	}
-	c := &dedupCall{}
-	c.wg.Add(1)
-	s.calls[k] = c
-	s.mu.Unlock()
-
-	s.leaders.Inc()
-	c.resp, c.err = s.next.Resolve(ctx, q)
-
-	s.mu.Lock()
-	delete(s.calls, k)
-	s.mu.Unlock()
-	c.wg.Done()
-	return c.resp, c.err
-}
-
-// inFlight reports how many followers are waiting on k — tests use it to
-// stage deterministic coalescing.
-func (s *dedupStage) inFlight(k dedupKey) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.calls[k]; ok {
-		return c.dups
-	}
-	return 0
+	out := *resp
+	out.Result = resp.Result.Follower()
+	return &out, nil
 }

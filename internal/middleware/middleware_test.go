@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/obs"
 	"dnsttl/internal/resolver"
@@ -81,6 +82,11 @@ func TestBuildEmptySpecIsDefault(t *testing.T) {
 	}
 }
 
+// limiter is a ratelimit → resolver spec with one extra stage option.
+func limiter(opt string) string {
+	return "entry=\"a\"\n[stage.a]\ntype=\"ratelimit\"\n" + opt + "\nnext=\"r\"\n[stage.r]\ntype=\"resolver\""
+}
+
 func TestSpecParseErrors(t *testing.T) {
 	cases := []struct{ name, spec, wantErr string }{
 		{"garbage line", "what even is this", "want key = value"},
@@ -97,6 +103,10 @@ func TestSpecParseErrors(t *testing.T) {
 		{"dangling entry", "entry = \"ghost\"\n[stage.a]\ntype = \"resolver\"", "undefined stage"},
 		{"cycle", "entry=\"a\"\n[stage.a]\ntype=\"dedup\"\nnext=\"b\"\n[stage.b]\ntype=\"dedup\"\nnext=\"a\"", "cycle"},
 		{"bad number", "entry=\"a\"\n[stage.a]\ntype=\"ratelimit\"\nqps=\"fast\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "not a number"},
+		{"nan qps", limiter("qps = nan"), "rate must be finite"},
+		{"inf qps", limiter("qps = inf"), "rate must be finite"},
+		{"nan burst", limiter("burst = nan"), "burst must be finite"},
+		{"fractional prefix", limiter("prefix4 = 24.9"), "not an integer"},
 		{"missing next", "[stage.a]\ntype = \"dedup\"", "needs next"},
 		{"bad action", "entry=\"a\"\n[stage.a]\ntype=\"blocklist\"\nblock=\"x.example\"\naction=\"explode\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "action must be"},
 	}
@@ -305,7 +315,7 @@ type = "resolver"
 	}()
 	<-entered
 	sf := p.stages[0].(*dedupStage)
-	k := dedupKey{name: dnswire.MustName("cold.example"), qtype: dnswire.TypeA}
+	k := cache.Key{Name: dnswire.MustName("cold.example"), Type: dnswire.TypeA}
 	for i := 1; i <= followers; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -313,7 +323,7 @@ type = "resolver"
 			results[i], _ = p.Resolve(ctx, query("cold.example", "10.0.0.2"))
 		}(i)
 	}
-	for sf.inFlight(k) < followers {
+	for sf.flight.Waiting(k) < followers {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
@@ -505,5 +515,30 @@ func TestVerdictStrings(t *testing.T) {
 		if v.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", v, v.String(), want)
 		}
+	}
+}
+
+// TestDedupResolveAllocs pins the leader path of a dedup → resolver
+// pipeline: the flight's call record and the terminal Response, nothing
+// per query for the closures that hand the chain to the flight.
+func TestDedupResolveAllocs(t *testing.T) {
+	res := &resolver.Result{Msg: &dnswire.Message{}}
+	p := MustBuild(`
+entry = "once"
+[stage.once]
+type = "dedup"
+next = "r"
+[stage.r]
+type = "resolver"
+`, Env{Lookup: func(dnswire.Name, dnswire.Type) (*resolver.Result, error) { return res, nil }})
+	ctx := context.Background()
+	q := query("a.example", "10.0.0.1")
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := p.Resolve(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("dedup → resolver Resolve: %v allocs, want <= 2", allocs)
 	}
 }

@@ -58,6 +58,21 @@ type Result struct {
 	Trace
 }
 
+// Follower returns the copy of r handed to a caller that joined r's
+// in-flight resolution instead of running its own: marked coalesced and
+// charged no upstream work. The message is shared, read-only by
+// convention.
+func (r *Result) Follower() *Result {
+	cp := *r
+	cp.CacheHit = false
+	cp.Coalesced = true
+	cp.Queries = 0
+	cp.Timeouts = 0
+	cp.Retries = 0
+	cp.Hedges = 0
+	return &cp
+}
+
 // Resolver is an iterative caching resolver.
 type Resolver struct {
 	// Addr is the resolver's own address, used as the query source.
