@@ -267,6 +267,11 @@ type Client struct {
 	env middleware.Env
 	pmu sync.RWMutex
 	p   *middleware.Pipeline
+
+	// wait is called before a resolution waits on the network; a
+	// RecursiveServer's UDP listener installs its loop handoff here.
+	wait simnet.WaitHook
+	reg  *Registry
 }
 
 // NewClient builds a Client.
@@ -283,6 +288,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
+	c := &Client{reg: cfg.Registry}
 	if cfg.Frontends > 1 {
 		f := farm.New(farm.Config{
 			Frontends:     cfg.Frontends,
@@ -298,11 +304,13 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			Registry:      cfg.Registry,
 			Tracer:        cfg.Tracer,
 			QueryLog:      cfg.QueryLog,
+			WaitHook:      &c.wait,
 		}, netip.MustParseAddr("127.0.0.1"), cfg.Net, cfg.Clock, cfg.Roots)
 		if err := f.SetPipeline(cfg.Pipeline); err != nil {
 			return nil, err
 		}
-		return &Client{f: f}, nil
+		c.f = f
+		return c, nil
 	}
 	r := resolver.New(netip.MustParseAddr("127.0.0.1"), cfg.Policy, cfg.Net, cfg.Clock, cfg.Roots, cfg.Seed)
 	if cfg.CacheCapacity > 0 || cfg.CacheBytes > 0 || cfg.Eviction != cache.EvictFIFO {
@@ -321,8 +329,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	r.Tracer = cfg.Tracer
 	r.QLog = cfg.QueryLog
-	c := &Client{r: r}
-	c.env = middleware.Env{Lookup: r.Resolve, Clock: cfg.Clock, Registry: cfg.Registry}
+	r.WaitHook = &c.wait
+	c.r = r
+	c.env = middleware.Env{Lookup: r.Resolve, Clock: cfg.Clock, Registry: cfg.Registry, WaitHook: &c.wait}
 	p, err := middleware.Build(cfg.Pipeline, c.env)
 	if err != nil {
 		return nil, err

@@ -111,6 +111,9 @@ type Config struct {
 	// exchange emits one qlog record (attributed per frontend by source
 	// address).
 	QueryLog *qlog.Tap
+	// WaitHook is handed to every frontend and pipeline, and called
+	// before a coalesced follower waits (see simnet.WaitHook).
+	WaitHook *simnet.WaitHook
 }
 
 func (c Config) frontends() int {
@@ -193,6 +196,7 @@ func New(cfg Config, addr netip.Addr, net simnet.Exchanger, clock simnet.Clock, 
 		r.Obs = met
 		r.Tracer = cfg.Tracer
 		r.QLog = cfg.QueryLog
+		r.WaitHook = cfg.WaitHook
 		if f.store != nil {
 			r.Cache = f.store
 		} else if cfg.CacheCapacity > 0 || cfg.CacheBytes > 0 || cfg.Eviction != cache.EvictFIFO {
@@ -217,6 +221,7 @@ func (f *Farm) env(idx int) middleware.Env {
 		Lookup:   f.resolveLeg(idx),
 		Clock:    f.clock,
 		Registry: f.cfg.Registry,
+		WaitHook: f.cfg.WaitHook,
 	}
 }
 
@@ -230,7 +235,7 @@ func (f *Farm) resolveLeg(idx int) middleware.LookupFunc {
 			return f.account(idx, res, err)
 		}
 		res, err, joined := f.flight.Do(cache.Key{Name: name, Type: qtype},
-			func() { f.telemetry.coalesced(idx) },
+			func() { f.telemetry.coalesced(idx); f.cfg.WaitHook.Call() },
 			func() (*resolver.Result, error) { return f.frontends[idx].Resolve(name, qtype) })
 		if joined {
 			if res == nil {

@@ -6,6 +6,7 @@ import (
 	"dnsttl/internal/cache"
 	"dnsttl/internal/flight"
 	"dnsttl/internal/obs"
+	"dnsttl/internal/simnet"
 )
 
 // dedupStage coalesces identical in-flight questions: the first query for
@@ -21,6 +22,7 @@ type dedupStage struct {
 	next      Stage
 	leaders   *obs.Counter
 	coalesced *obs.Counter
+	wait      *simnet.WaitHook
 	flight    flight.Group[cache.Key, *Response]
 }
 
@@ -31,6 +33,7 @@ func init() {
 			name:      sp.name,
 			leaders:   b.env.counter(sp.name, "leaders"),
 			coalesced: b.env.counter(sp.name, "coalesced"),
+			wait:      b.env.WaitHook,
 		}
 		next, err := b.next(&o)
 		if err != nil {
@@ -46,8 +49,15 @@ func init() {
 
 func (s *dedupStage) Name() string { return s.name }
 
+// join books a follower and lets the listener serving it move on before
+// it waits.
+func (s *dedupStage) join() {
+	s.coalesced.Inc()
+	s.wait.Call()
+}
+
 func (s *dedupStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
-	resp, err, joined := s.flight.Do(cache.Key{Name: q.Name, Type: q.Type}, s.coalesced.Inc,
+	resp, err, joined := s.flight.Do(cache.Key{Name: q.Name, Type: q.Type}, s.join,
 		func() (*Response, error) {
 			s.leaders.Inc()
 			return s.next.Resolve(ctx, q)

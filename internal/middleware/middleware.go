@@ -113,6 +113,9 @@ type Env struct {
 	Clock simnet.Clock
 	// Registry, when non-nil, backs each stage's mw.<name>.* counters.
 	Registry *obs.Registry
+	// WaitHook, when non-nil, is called before a dedup follower waits on
+	// its leader (see simnet.WaitHook).
+	WaitHook *simnet.WaitHook
 }
 
 func (e Env) clock() simnet.Clock {

@@ -183,11 +183,11 @@ func (s *collapseStage) Resolve(ctx context.Context, q *Query) (*Response, error
 // — split-horizon overrides, sinkholes, and test fixtures. Non-matching
 // queries pass through.
 type staticStage struct {
-	name    string
-	next    Stage
-	names   map[dnswire.Name]bool
-	answer  dnswire.RR
-	served  *obs.Counter
+	name   string
+	next   Stage
+	names  map[dnswire.Name]bool
+	answer dnswire.RR
+	served *obs.Counter
 }
 
 func init() {

@@ -350,6 +350,7 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() float64
+	counterFns map[string]func() uint64
 	hists      map[string]*Histogram
 }
 
@@ -365,6 +366,7 @@ func NewRegistry(clock simnet.Clock) *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		gaugeFuncs: make(map[string]func() float64),
+		counterFns: make(map[string]func() uint64),
 		hists:      make(map[string]*Histogram),
 	}
 }
@@ -421,6 +423,17 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.gaugeFuncs[name] = fn
 }
 
+// CounterFunc is GaugeFunc for a monotonic count a subsystem keeps
+// itself: fn is evaluated at snapshot time and reported as a counter.
+func (r *Registry) CounterFunc(name string, fn func() uint64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counterFns[name] = fn
+}
+
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
@@ -458,10 +471,13 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := Snapshot{At: r.clock.Now()}
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]uint64, len(r.counters))
+	if len(r.counters)+len(r.counterFns) > 0 {
+		s.Counters = make(map[string]uint64, len(r.counters)+len(r.counterFns))
 		for n, c := range r.counters {
 			s.Counters[n] = c.Value()
+		}
+		for n, fn := range r.counterFns {
+			s.Counters[n] = fn()
 		}
 	}
 	if len(r.gauges)+len(r.gaugeFuncs) > 0 {

@@ -111,6 +111,10 @@ type Resolver struct {
 	// name purged by NOTIFY — or covered by an unhealthy subscription that
 	// may have missed purges — is never served stale from a pre-purge entry.
 	StaleGate StaleGate
+	// WaitHook is called before every upstream exchange (exchangeAny, so
+	// retries and hedges included). A real-socket listener serving queries
+	// on its read loop installs its handoff there; nil does nothing.
+	WaitHook *simnet.WaitHook
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -489,6 +493,7 @@ func (r *Resolver) fail(name dnswire.Name, qtype dnswire.Type, res *Result, err 
 // jitter, per-attempt and overall deadlines, and an optional hedged second
 // query on the first attempt.
 func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dnswire.Type, res *Result, sp *obs.Span) (*dnswire.Message, netip.Addr, error) {
+	r.WaitHook.Call()
 	rp := r.Policy.Retry
 	retrying := rp.enabled()
 	order := r.serverOrder(servers)

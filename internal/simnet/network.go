@@ -23,6 +23,27 @@ type HandlerFunc func(wire []byte, from netip.Addr) []byte
 // ServeDNS calls f.
 func (f HandlerFunc) ServeDNS(wire []byte, from netip.Addr) []byte { return f(wire, from) }
 
+// WaitHook is called by handler code just before it may wait on the
+// network: an upstream exchange, a coalesced follower's wait, an IXFR
+// pull. A UDP listener that serves queries on its read loop installs its
+// handoff here, so a query about to wait hands the loop to a new goroutine
+// instead of holding up the queries behind it. The nil pointer and the
+// zero value do nothing; the simulation never installs a function.
+type WaitHook struct{ fn atomic.Pointer[func()] }
+
+// Set installs fn, replacing any earlier function.
+func (h *WaitHook) Set(fn func()) { h.fn.Store(&fn) }
+
+// Call runs the installed function, if any.
+func (h *WaitHook) Call() {
+	if h == nil {
+		return
+	}
+	if fn := h.fn.Load(); fn != nil {
+		(*fn)()
+	}
+}
+
 // Exchanger is the client side: send a query to dst, get the response and
 // the round-trip time. Both the in-memory Network and the real-UDP client in
 // the authoritative package implement this.

@@ -73,6 +73,8 @@ func (rs *RecursiveServer) serveDNS(wire []byte, from netip.Addr, tap *qlog.Tap)
 	}
 	if q.Header.Opcode == dnswire.OpcodeNotify && !q.Header.QR {
 		if sub := rs.push.Load(); sub != nil {
+			// A new serial makes the subscriber pull IXFR before it acks.
+			rs.Client.wait.Call()
 			return sub.HandleNotifyWire(wire, from)
 		}
 	}
@@ -104,10 +106,13 @@ func (rs *RecursiveServer) serveDNS(wire []byte, from netip.Addr, tap *qlog.Tap)
 		// exactly what an attacker flooding a limited bucket deserves.
 		return nil
 	}
-	msg := res.Msg
+	// A coalesced follower shares its leader's Msg, and both may be encoding
+	// at once: stamp this client's header on a copy, never on the shared
+	// message.
+	msg := *res.Msg
 	msg.Header.ID = q.Header.ID
 	msg.Header.RD = q.Header.RD
-	out, err := dnswire.EncodeWithLimit(msg, dnswire.MaxEDNSSize)
+	out, err := dnswire.EncodeWithLimit(&msg, dnswire.MaxEDNSSize)
 	if err != nil {
 		return nil
 	}
@@ -138,10 +143,20 @@ func pipelineOutcome(resp *middleware.Response) qlog.Outcome {
 	return qlog.OutcomeMiss
 }
 
-// ListenUDP binds addr and serves client queries until Close.
+// ListenUDP binds addr and serves client queries until Close. Queries are
+// served on the listener's read loop, so a cache hit costs no goroutine
+// start; the Client's wait hook hands the loop to a new goroutine before a
+// query waits on the network. With a Registry on the Client, the loop
+// reports serve.udp.handoffs and serve.udp.inflight.
 func (rs *RecursiveServer) ListenUDP(addr string) (netip.AddrPort, error) {
-	rs.u = &authoritative.UDPServer{Handler: transportHandler{rs, rs.QueryLog.Tap("udp")}}
-	return rs.u.Listen(addr)
+	u := &authoritative.UDPServer{Handler: transportHandler{rs, rs.QueryLog.Tap("udp")}, Inline: true}
+	rs.u = u
+	rs.Client.wait.Set(u.Handoff)
+	if reg := rs.Client.reg; reg != nil {
+		reg.CounterFunc(authoritative.MetricUDPHandoffs, u.Handoffs)
+		reg.GaugeFunc(authoritative.MetricUDPInflight, func() float64 { return float64(u.Detached()) })
+	}
+	return u.Listen(addr)
 }
 
 // ListenTCP binds addr for persistent-TCP clients (RFC 7766) until Close.
